@@ -23,7 +23,7 @@
 //!   deterministic running-reallotment scenario.  **Gates:** on the
 //!   departure-free overload family the re-allotting engine's seed-sweep
 //!   mean competitive ratio is strictly better than queued-only preemption,
-//!   every piecewise schedule passes the extended simulator validation
+//!   every piecewise schedule passes the schedule oracle
 //!   (per-segment feasibility + work conservation), and re-allotment
 //!   strictly beats queued-only preemption on the shipped scenario;
 //! * `telemetry` — a fully recorded bursty run through the re-allotting
@@ -35,7 +35,7 @@
 //!   (crash MTBF + per-attempt task-failure rate), against its own
 //!   fault-free baseline, plus one recorded run whose epoch solver is
 //!   forced to fail once behind the `solver::FallbackSolver` ladder.
-//!   **Gates:** every faulted run passes `validate_fault_run` (no overlap
+//!   **Gates:** every faulted run passes the schedule oracle (no overlap
 //!   among executed or wasted segments, nothing scheduled inside an
 //!   outage), every task is accounted for (completed + departed +
 //!   abandoned = submitted), on the departure-free family the mean faulted
@@ -51,7 +51,7 @@
 //! a strongly asymmetric two-class cluster, the LP assignment vs the
 //! speed-blind ablation on the same machine (equal total capacity), plus the
 //! greedy-density baseline and the homogeneous-equivalent reference run.
-//! **Gates:** every classed run passes `ClassedRunResult::check`, and on
+//! **Gates:** every classed run passes the schedule oracle, and on
 //! every task count the LP assignment's mean ratio vs the classed lower
 //! bound strictly beats the speed-blind ablation's.
 //!
@@ -105,20 +105,6 @@ fn run_family(
             online::validate_against_trace(&trace, &result.schedule).is_empty(),
             "invalid schedule from {}",
             result.policy
-        );
-        // Every schedule — including piecewise re-allotted ones — must pass
-        // the extended simulator validation (per-segment feasibility + work
-        // conservation).
-        let report = simulator::validate_piecewise_subset(
-            &trace.instance().expect("trace instance"),
-            &result.schedule,
-            None,
-        );
-        assert!(
-            report.is_valid(),
-            "{}: piecewise validation failed: {:?}",
-            result.policy,
-            report.violations
         );
         let report = online::competitive_report(&trace, &result).expect("report succeeds");
         match (report.ratio_vs_offline, report.ratio_vs_lower_bound) {
@@ -189,11 +175,10 @@ fn hetero_report(seeds_per_cell: u64) {
             // are measured against.
             let uniform = run(&trace, &flat, hetero::AssignStrategy::Lp);
             for (label, result) in [("lp", &lp), ("greedy", &greedy), ("blind", &blind)] {
-                let violations = result.check(&trace);
+                let violations = result.run_facts(&trace).violations();
                 if !violations.is_empty() {
                     gate_failures.push(format!(
-                        "hetero gate: {label} tasks {tasks} seed {seed} invalid: {}",
-                        violations.join("; ")
+                        "hetero gate: {label} tasks {tasks} seed {seed} invalid: {violations:?}"
                     ));
                 }
             }
@@ -506,12 +491,6 @@ fn main() {
             online::validate_against_trace(&scenario, &result.schedule).is_empty(),
             "invalid scenario schedule"
         );
-        let report = simulator::validate_piecewise_subset(
-            &scenario.instance().expect("scenario instance"),
-            &result.schedule,
-            None,
-        );
-        assert!(report.is_valid(), "scenario piecewise validation failed");
         (result.makespan, result.reallotted)
     };
     let (queued_makespan, _) = scenario_makespan(false);
@@ -569,7 +548,7 @@ fn main() {
     // replayed through the fault-tolerant engine at three intensities —
     // fault-free (the baseline of the 2× gate), light, and heavy — under
     // seeded crash/repair outages plus per-attempt task failures, with the
-    // default retry policy.  The fault-aware validator runs on every seed.
+    // default retry policy.  The schedule oracle runs on every seed.
     let mut fault_cells: Vec<Value> = Vec::new();
     let intensities: [(&str, Option<f64>, f64); 3] = [
         ("fault-free", None, 0.0),
@@ -604,12 +583,11 @@ fn main() {
                 let mut policy = EpochReplan::mrt(1.0).expect("valid period");
                 let result = online::run_with_faults(&trace, &mut policy, &plan, retry, None)
                     .expect("faulted engine run succeeds");
-                let violations = online::validate_fault_run(&trace, &result);
+                let violations = result.run_facts(&trace).violations();
                 if !violations.is_empty() {
                     gate_failures.push(format!(
-                        "faults gate: {} {label} seed {seed} invalid: {}",
-                        family.name,
-                        violations.join("; ")
+                        "faults gate: {} {label} seed {seed} invalid: {violations:?}",
+                        family.name
                     ));
                 }
                 // No lost tasks: every submission either ran to completion,

@@ -173,7 +173,6 @@ pub enum Command {
         /// JSONL file; also prints the decision-latency/throughput summary.
         telemetry: Option<String>,
         json: bool,
-        no_validate: bool,
         output: Option<String>,
     },
     /// Schedule an instance file.
@@ -277,7 +276,7 @@ USAGE:
                            [--mtbf T [--mttr T]] [--task-failure-rate P]
                            [--max-attempts N] [--retry-backoff T] [--fault-seed S]
                            [--solver-fault K]
-                           [--telemetry events.jsonl] [--json] [--no-validate]
+                           [--telemetry events.jsonl] [--json]
                            [--output schedule.json]
                            (without --trace, the trace flags of `trace` generate one
                            inline; --shards N partitions the cluster into N per-shard
@@ -514,7 +513,6 @@ impl Cli {
         let mut solver_fault = None;
         let mut telemetry = None;
         let mut json = false;
-        let mut no_validate = false;
         let mut output = None;
         while let Some(token) = stream.next() {
             match token {
@@ -607,7 +605,6 @@ impl Cli {
                 }
                 "--telemetry" => telemetry = Some(stream.value_for("--telemetry")?.to_string()),
                 "--json" => json = true,
-                "--no-validate" => no_validate = true,
                 "--output" | "-o" => output = Some(stream.value_for("--output")?.to_string()),
                 other => return Err(ParseError::UnknownFlag(other.to_string())),
             }
@@ -642,7 +639,6 @@ impl Cli {
             solver_fault,
             telemetry,
             json,
-            no_validate,
             output,
         })
     }

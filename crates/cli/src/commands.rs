@@ -7,12 +7,13 @@ use std::fs;
 use std::result::Result;
 
 use malleable_core::prelude::*;
+use malleable_core::RunFacts;
 use online::{
-    competitive_report, run_sharded, validate_against_trace, validate_fault_run, CollectingSink,
-    EpochReplan, OnlinePolicy, PolicyKind, PolicyOptions, ShardedConfig,
+    competitive_report, run_sharded, CollectingSink, EpochReplan, OnlinePolicy, PolicyKind,
+    PolicyOptions, ShardedConfig,
 };
 use serde_json::{json, Value};
-use simulator::{render_gantt, simulate, validate_schedule};
+use simulator::{render_gantt, simulate};
 use solver::{FallbackSolver, FaultInjectingSolver, SolverFaultMode};
 use telemetry::{CollectingRecorder, Recorder, SharedRecorder};
 use workload::{
@@ -146,7 +147,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             solver_fault,
             telemetry,
             json,
-            no_validate,
             output,
         } => run_online(OnlineArgs {
             trace: trace.as_deref(),
@@ -175,7 +175,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             solver_fault: *solver_fault,
             telemetry: telemetry.as_deref(),
             json: *json,
-            no_validate: *no_validate,
             output: output.as_deref(),
         }),
     }
@@ -282,8 +281,47 @@ struct OnlineArgs<'a> {
     solver_fault: Option<usize>,
     telemetry: Option<&'a str>,
     json: bool,
-    no_validate: bool,
     output: Option<&'a str>,
+}
+
+/// The trace of an `online` run: read from `--trace`, or generated inline
+/// from the trace flags.
+fn online_trace(
+    args: &OnlineArgs,
+    departure_patience: Option<f64>,
+) -> Result<ArrivalTrace, CliError> {
+    match args.trace {
+        Some(path) => trace_from_json(&read_file(path)?)
+            .map_err(|e| CliError::Invalid(format!("{path}: {e}"))),
+        None => build_trace(
+            args.family,
+            args.pattern,
+            args.tasks,
+            args.processors,
+            args.seed,
+            departure_patience,
+        ),
+    }
+}
+
+/// Write the recorded event stream as JSONL when `--telemetry` names a file.
+fn write_telemetry(
+    recorder: Option<&CollectingRecorder>,
+    path: Option<&str>,
+) -> Result<(), CliError> {
+    let (Some(recorder), Some(path)) = (recorder, path) else {
+        return Ok(());
+    };
+    let mut buffer = Vec::new();
+    recorder
+        .write_jsonl(&mut buffer)
+        .map_err(|e| CliError::Io {
+            path: path.to_string(),
+            message: e.to_string(),
+        })?;
+    let text =
+        String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
+    write_file(path, &text)
 }
 
 fn run_online(args: OnlineArgs) -> Result<String, CliError> {
@@ -316,20 +354,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
     if args.shards > 1 {
         return run_online_sharded(&args);
     }
-    let trace = match args.trace {
-        Some(path) => {
-            let text = read_file(path)?;
-            trace_from_json(&text).map_err(|e| CliError::Invalid(format!("{path}: {e}")))?
-        }
-        None => build_trace(
-            args.family,
-            args.pattern,
-            args.tasks,
-            args.processors,
-            args.seed,
-            args.departure_patience,
-        )?,
-    };
+    let trace = online_trace(&args, args.departure_patience)?;
 
     // The engine-level fault plan (crashes and task failures) is built only
     // when a fault flag asks for one; the forced solver fault degrades
@@ -433,39 +458,12 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
 
     // Write the event stream when asked, and build the summary both output
     // modes share whenever a recorder ran.
-    if let (Some(handle), Some(path)) = (&recorder, args.telemetry) {
-        let mut buffer = Vec::new();
-        handle.write_jsonl(&mut buffer).map_err(|e| CliError::Io {
-            path: path.to_string(),
-            message: e.to_string(),
-        })?;
-        let text =
-            String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
-        write_file(path, &text)?;
-    }
+    write_telemetry(recorder.as_deref(), args.telemetry)?;
     let summary = recorder
         .as_ref()
         .map(|handle| online::summarize(handle, &result, epoch_period));
 
-    let validation = if args.no_validate {
-        None
-    } else if fault_plan.is_some() {
-        // The fault-aware validator: abandoned tasks may be unscheduled,
-        // and wasted segments must not overlap anything (including
-        // outages).
-        Some(validate_fault_run(&trace, &result))
-    } else {
-        Some(validate_against_trace(&trace, &result.schedule))
-    };
-    if let Some(violations) = &validation {
-        if !violations.is_empty() {
-            let mut out = String::from("INVALID online schedule:\n");
-            for violation in violations {
-                out.push_str(&format!("  - {violation}\n"));
-            }
-            return Err(CliError::Invalid(out));
-        }
-    }
+    ensure_valid("online schedule", &result.run_facts(&trace))?;
 
     if let Some(path) = args.output {
         write_file(path, &schedule_to_json(&result.schedule))?;
@@ -501,7 +499,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
             "retries_exhausted": result.retries_exhausted,
             "wasted_integral": result.wasted_integral,
             "goodput": result.goodput_fraction(),
-            "validated": validation.is_some(),
+            "validated": true,
             "schedule_file": args.output,
             "telemetry_file": args.telemetry,
             "telemetry": summary.as_ref().map_or(Value::Null, |s| s.to_json()),
@@ -516,7 +514,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
             None => "n/a (all tasks departed)".to_string(),
         };
         let mut text = format!(
-            "policy           : {}\ntrace            : {} tasks on {} processors (last arrival {:.4})\nonline makespan  : {:.4}\noffline mrt      : {:.4}\ncertified LB     : {:.4}\nratio vs offline : {}\nratio vs LB      : {}\nmean flow time   : {:.4}\nmax flow time    : {:.4}\nutilisation      : {:.1}%\nreplans          : {}\nevents           : {}\ndeparted         : {}\npreempted        : {}\nreallotted       : {}\nvalidation       : {}\n",
+            "policy           : {}\ntrace            : {} tasks on {} processors (last arrival {:.4})\nonline makespan  : {:.4}\noffline mrt      : {:.4}\ncertified LB     : {:.4}\nratio vs offline : {}\nratio vs LB      : {}\nmean flow time   : {:.4}\nmax flow time    : {:.4}\nutilisation      : {:.1}%\nreplans          : {}\nevents           : {}\ndeparted         : {}\npreempted        : {}\nreallotted       : {}\nvalidation       : OK\n",
             result.policy,
             trace.len(),
             trace.processors(),
@@ -534,7 +532,6 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
             result.departed,
             result.preempted,
             result.reallotted,
-            if validation.is_some() { "OK" } else { "skipped" },
         );
         if faults_enabled {
             text.push_str(&format!(
@@ -599,20 +596,7 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
                 .to_string(),
         ));
     }
-    let trace = match args.trace {
-        Some(path) => {
-            let text = read_file(path)?;
-            trace_from_json(&text).map_err(|e| CliError::Invalid(format!("{path}: {e}")))?
-        }
-        None => build_trace(
-            args.family,
-            args.pattern,
-            args.tasks,
-            args.processors,
-            args.seed,
-            None,
-        )?,
-    };
+    let trace = online_trace(args, None)?;
     if trace.has_departures() {
         return Err(CliError::Invalid(
             "the sharded engine does not model departures; re-generate the trace \
@@ -635,26 +619,8 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
     .map_err(|e| CliError::Scheduling(e.to_string()))?;
     let schedule = sink.into_schedule();
 
-    let validation = (!args.no_validate).then(|| validate_against_trace(&trace, &schedule));
-    if let Some(violations) = &validation {
-        if !violations.is_empty() {
-            let mut out = String::from("INVALID sharded online schedule:\n");
-            for violation in violations {
-                out.push_str(&format!("  - {violation}\n"));
-            }
-            return Err(CliError::Invalid(out));
-        }
-    }
-    if let (Some(handle), Some(path)) = (&recorder, args.telemetry) {
-        let mut buffer = Vec::new();
-        handle.write_jsonl(&mut buffer).map_err(|e| CliError::Io {
-            path: path.to_string(),
-            message: e.to_string(),
-        })?;
-        let text =
-            String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
-        write_file(path, &text)?;
-    }
+    ensure_valid("sharded online schedule", &trace.run_facts(&schedule))?;
+    write_telemetry(recorder.as_deref(), args.telemetry)?;
     if let Some(path) = args.output {
         write_file(path, &schedule_to_json(&schedule))?;
     }
@@ -697,7 +663,7 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
             "run_ns": result.run_ns,
             "invariant_violations": result.invariant_violations,
             "per_shard": per_shard,
-            "validated": validation.is_some(),
+            "validated": true,
             "schedule_file": args.output,
             "telemetry_file": args.telemetry,
         });
@@ -706,7 +672,7 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
         text
     } else {
         let mut text = format!(
-            "policy           : {}\ntrace            : {} tasks on {} processors (last arrival {:.4})\nonline makespan  : {:.4}\nmean flow time   : {:.4}\nmax flow time    : {:.4}\nutilisation      : {:.1}%\nrounds           : {}\nsolves           : {}\nsteals           : {}\nsolve critical   : {:.3} ms (total {:.3} ms across shards)\nvalidation       : {}\n",
+            "policy           : {}\ntrace            : {} tasks on {} processors (last arrival {:.4})\nonline makespan  : {:.4}\nmean flow time   : {:.4}\nmax flow time    : {:.4}\nutilisation      : {:.1}%\nrounds           : {}\nsolves           : {}\nsteals           : {}\nsolve critical   : {:.3} ms (total {:.3} ms across shards)\nvalidation       : OK\n",
             result.policy,
             trace.len(),
             trace.processors(),
@@ -720,7 +686,6 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
             result.steals,
             result.solve_critical_ns as f64 / 1e6,
             result.solve_total_ns as f64 / 1e6,
-            if validation.is_some() { "OK" } else { "skipped" },
         );
         for s in &result.per_shard {
             text.push_str(&format!(
@@ -776,20 +741,7 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
             "--machine-classes cannot be combined with --departure-patience".to_string(),
         ));
     }
-    let trace = match args.trace {
-        Some(path) => {
-            let text = read_file(path)?;
-            trace_from_json(&text).map_err(|e| CliError::Invalid(format!("{path}: {e}")))?
-        }
-        None => build_trace(
-            args.family,
-            args.pattern,
-            args.tasks,
-            args.processors,
-            args.seed,
-            None,
-        )?,
-    };
+    let trace = online_trace(args, None)?;
     if trace.has_departures() {
         return Err(CliError::Invalid(
             "the classed engine does not model departures; re-generate the trace \
@@ -817,16 +769,7 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
     let result = hetero::run_classed(&trace, &cluster, &options)
         .map_err(|e| CliError::Scheduling(e.to_string()))?;
 
-    let validation = (!args.no_validate).then(|| result.check(&trace));
-    if let Some(violations) = &validation {
-        if !violations.is_empty() {
-            let mut out = String::from("INVALID classed online schedule:\n");
-            for violation in violations {
-                out.push_str(&format!("  - {violation}\n"));
-            }
-            return Err(CliError::Invalid(out));
-        }
-    }
+    ensure_valid("classed online schedule", &result.run_facts(&trace))?;
 
     // The classed lower bound (critical path over best classes ∨ weighted
     // area) plays the role the certified LB plays in the flat report.
@@ -838,16 +781,7 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
         .lower_bound();
     let ratio = (lower_bound > 0.0).then(|| result.makespan / lower_bound);
 
-    if let (Some(handle), Some(path)) = (&recorder, args.telemetry) {
-        let mut buffer = Vec::new();
-        handle.write_jsonl(&mut buffer).map_err(|e| CliError::Io {
-            path: path.to_string(),
-            message: e.to_string(),
-        })?;
-        let text =
-            String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
-        write_file(path, &text)?;
-    }
+    write_telemetry(recorder.as_deref(), args.telemetry)?;
     if let Some(path) = args.output {
         write_file(path, &schedule_to_json(&result.schedule))?;
     }
@@ -879,7 +813,7 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
             "migrations": result.migrations,
             "replans": result.replans,
             "classes": classes,
-            "validated": validation.is_some(),
+            "validated": true,
             "schedule_file": args.output,
             "telemetry_file": args.telemetry,
         });
@@ -911,14 +845,7 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
                 100.0 * result.class_utilization(index),
             ));
         }
-        text.push_str(&format!(
-            "validation       : {}\n",
-            if validation.is_some() {
-                "OK"
-            } else {
-                "skipped"
-            },
-        ));
+        text.push_str("validation       : OK\n");
         if let Some(path) = args.telemetry {
             text.push_str(&format!("telemetry stream written to {path}\n"));
         }
@@ -1075,21 +1002,27 @@ fn schedule(
 fn validate(instance_path: &str, schedule_path: &str) -> Result<String, CliError> {
     let instance = load_instance(instance_path)?;
     let schedule_text = read_file(schedule_path)?;
-    let schedule = schedule_from_json(&schedule_text, &instance).map_err(CliError::Invalid)?;
-    let report = validate_schedule(&instance, &schedule, None);
-    if report.is_valid() {
-        Ok(format!(
-            "OK: {} tasks, makespan {:.4}, no violations\n",
-            schedule.len(),
-            schedule.makespan()
-        ))
-    } else {
-        let mut out = String::from("INVALID schedule:\n");
-        for violation in &report.violations {
-            out.push_str(&format!("  - {violation}\n"));
-        }
-        Err(CliError::Invalid(out))
+    let schedule = schedule_from_json(&schedule_text).map_err(CliError::Invalid)?;
+    ensure_valid("schedule", &RunFacts::offline(&instance, &schedule))?;
+    Ok(format!(
+        "OK: {} tasks, makespan {:.4}, no violations\n",
+        schedule.len(),
+        schedule.makespan()
+    ))
+}
+
+/// Run the schedule oracle over a run's facts: every violation it finds
+/// fails the command with the full list.
+fn ensure_valid(what: &str, facts: &RunFacts<'_>) -> Result<(), CliError> {
+    let violations = facts.violations();
+    if violations.is_empty() {
+        return Ok(());
     }
+    let mut out = format!("INVALID {what}:\n");
+    for violation in &violations {
+        out.push_str(&format!("  - {violation}\n"));
+    }
+    Err(CliError::Invalid(out))
 }
 
 fn print_bounds(instance_path: &str) -> Result<String, CliError> {
@@ -1450,7 +1383,7 @@ mod tests {
         let trace = workload::trace_from_json(&text).unwrap();
         let instance = trace.instance().unwrap();
         let schedule_text = fs::read_to_string(&schedule_path).unwrap();
-        let schedule = crate::schedule_io::schedule_from_json(&schedule_text, &instance).unwrap();
+        let schedule = crate::schedule_io::schedule_from_json(&schedule_text).unwrap();
         assert!(schedule.validate(&instance).is_ok());
 
         fs::remove_file(trace_path).ok();

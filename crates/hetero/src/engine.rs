@@ -16,9 +16,9 @@
 //! [`TelemetryEvent::ClassUtilization`] per class.
 
 use malleable_core::dual::SearchMode;
-use malleable_core::eps::{approx_ge, approx_le, EPS_ACCUM};
+use malleable_core::eps::approx_le;
 use malleable_core::{
-    MrtSolver, ProcessorRange, Result, Schedule, ScheduledTask, SolveRequest, Solver,
+    MrtSolver, ProcessorRange, Result, RunFacts, Schedule, ScheduledTask, SolveRequest, Solver,
 };
 use online::MachineState;
 use telemetry::{names, SharedRecorder, TelemetryEvent};
@@ -60,7 +60,7 @@ pub struct ClassedRunResult {
     pub cluster: ClassedCluster,
     /// Final commitments on the global processor axis (durations are
     /// class-scaled, so the identical-machines `Schedule::validate` does
-    /// not apply; see [`ClassedRunResult::check`]).
+    /// not apply; see [`ClassedRunResult::run_facts`]).
     pub schedule: Schedule,
     /// Completion time of the last task.
     pub makespan: f64,
@@ -85,62 +85,19 @@ impl ClassedRunResult {
         self.class_busy[class] / (count * self.makespan)
     }
 
-    /// Structural validation of a classed run against its trace: every
-    /// task scheduled exactly once, inside its assigned class's pool, not
-    /// before its arrival, with the class-scaled duration, and without
-    /// processor-time overlap.  Returns human-readable violations (empty =
-    /// valid).
-    pub fn check(&self, trace: &ArrivalTrace) -> Vec<String> {
-        let mut messages = Vec::new();
-        let mut seen = vec![false; trace.len()];
-        for entry in self.schedule.entries() {
-            if entry.task >= trace.len() || seen[entry.task] {
-                messages.push(format!("task {} is duplicated or unknown", entry.task));
-                continue;
-            }
-            seen[entry.task] = true;
-            let arrival = &trace.arrivals()[entry.task];
-            if !approx_ge(entry.start, arrival.at) {
-                messages.push(format!(
-                    "task {} starts at {} before its arrival {}",
-                    entry.task, entry.start, arrival.at
-                ));
-            }
-            let class = self.cluster.processor_class(entry.processors.first);
-            let range = self.cluster.class_range(class);
-            if entry.processors.end() > range.end() {
-                messages.push(format!(
-                    "task {} spans classes: {:?} exceeds {:?}",
-                    entry.task, entry.processors, range
-                ));
-            }
-            let expected =
-                ClassedSpeedupProfile::from_speeds(arrival.task.profile.clone(), &self.cluster)
-                    .time(class, entry.processors.count);
-            if (entry.duration - expected).abs() > EPS_ACCUM {
-                messages.push(format!(
-                    "task {} runs {} but class {} needs {}",
-                    entry.task, entry.duration, class, expected
-                ));
-            }
+    /// The schedule oracle's facts of this run over `trace`: every task
+    /// required and run exactly once, inside one class, with its duration
+    /// scaled by that class's speed.  The classed engine does not model
+    /// departures, so the trace's deadlines do not apply.
+    pub fn run_facts<'a>(&'a self, trace: &'a ArrivalTrace) -> RunFacts<'a> {
+        let mut facts = trace.run_facts(&self.schedule);
+        let classes = self.cluster.classes().iter();
+        facts.classes = classes.map(|class| (class.count, class.speed)).collect();
+        facts.piecewise = false;
+        for task in &mut facts.tasks {
+            (task.departs_at, task.may_be_absent) = (None, false);
         }
-        for (task, &s) in seen.iter().enumerate() {
-            if !s {
-                messages.push(format!("task {task} is not scheduled"));
-            }
-        }
-        let entries = self.schedule.entries();
-        for (i, a) in entries.iter().enumerate() {
-            for b in entries.iter().skip(i + 1) {
-                if a.conflicts_with(b) {
-                    messages.push(format!(
-                        "tasks {} and {} overlap in processor-time",
-                        a.task, b.task
-                    ));
-                }
-            }
-        }
-        messages
+        facts
     }
 }
 
@@ -357,7 +314,11 @@ mod tests {
         let trace = trace(spec, 24, 3);
         let a = run_classed(&trace, &cluster, &ClassedEngineOptions::default()).unwrap();
         let b = run_classed(&trace, &cluster, &ClassedEngineOptions::default()).unwrap();
-        assert!(a.check(&trace).is_empty(), "{:?}", a.check(&trace));
+        assert!(
+            a.run_facts(&trace).violations().is_empty(),
+            "{:?}",
+            a.run_facts(&trace).violations()
+        );
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.migrations, b.migrations);
         assert_eq!(a.schedule.len(), trace.len());
@@ -370,7 +331,7 @@ mod tests {
         let cluster = ClassedCluster::uniform(8).unwrap();
         let trace = trace("only=8x1.0", 16, 5);
         let result = run_classed(&trace, &cluster, &ClassedEngineOptions::default()).unwrap();
-        assert!(result.check(&trace).is_empty());
+        assert!(result.run_facts(&trace).violations().is_empty());
         for entry in result.schedule.entries() {
             let base = trace.arrivals()[entry.task]
                 .task
@@ -391,7 +352,7 @@ mod tests {
             ..ClassedEngineOptions::default()
         };
         let result = run_classed(&trace, &cluster, &options).unwrap();
-        assert!(result.check(&trace).is_empty());
+        assert!(result.run_facts(&trace).violations().is_empty());
         let events = recorder.events();
         let utilisations = events
             .iter()
@@ -428,8 +389,8 @@ mod tests {
                 },
             )
             .unwrap();
-            assert!(lp.check(&trace).is_empty());
-            assert!(blind.check(&trace).is_empty());
+            assert!(lp.run_facts(&trace).violations().is_empty());
+            assert!(blind.run_facts(&trace).violations().is_empty());
             lp_wins += lp.makespan;
             blind_wins += blind.makespan;
         }

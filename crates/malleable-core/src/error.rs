@@ -34,6 +34,11 @@ pub enum Error {
     },
     /// The dual-approximation search could not find any feasible schedule.
     NoFeasibleSchedule,
+    /// A schedule violates the machine model (see [`crate::validate`]).
+    InvalidSchedule {
+        /// The first violation found.
+        message: String,
+    },
     /// An internal invariant the engine relies on was observed broken at
     /// run time.  Raised instead of panicking on engine paths so a
     /// corrupted run degrades into a reported error.
@@ -85,6 +90,7 @@ impl fmt::Display for Error {
             Error::NoFeasibleSchedule => {
                 write!(f, "no feasible schedule could be constructed")
             }
+            Error::InvalidSchedule { message } => write!(f, "invalid schedule: {message}"),
             Error::InvariantViolated { context, message } => {
                 write!(f, "engine invariant `{context}` violated: {message}")
             }
@@ -139,6 +145,12 @@ mod tests {
                 "lambda",
             ),
             (Error::NoFeasibleSchedule, "no feasible schedule"),
+            (
+                Error::InvalidSchedule {
+                    message: "tasks 0 and 1 overlap on processor 2".to_string(),
+                },
+                "overlap",
+            ),
             (
                 Error::InvariantViolated {
                     context: "revoke-queued",

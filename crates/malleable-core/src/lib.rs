@@ -45,6 +45,7 @@
 //! | [`two_shelf`] | §4 | the knapsack-based two-shelf construction |
 //! | [`mrt`] | §3–§4, Thm 3 | the combined √3 scheduler and the one-call API |
 //! | [`solver`] | — | the unified `Solver` trait, `SolveRequest`/`SolveOutcome` pipeline and the solver registry |
+//! | [`validate`] | §2 | the schedule oracle: one sweep-line validity check for every run |
 
 pub mod allotment;
 pub mod bounds;
@@ -61,6 +62,7 @@ pub mod schedule;
 pub mod solver;
 pub mod task;
 pub mod two_shelf;
+pub mod validate;
 pub mod workspace;
 
 pub mod prelude;
@@ -74,6 +76,7 @@ pub use solver::{
     SolverCapabilities, SolverConfig, SolverHandle, SolverRegistry,
 };
 pub use task::{MalleableTask, SpeedupProfile, TaskId};
+pub use validate::{Outage, RunFacts, TaskFacts, Violation};
 pub use workspace::ProbeWorkspace;
 
 /// The paper's headline guarantee: `√3`.

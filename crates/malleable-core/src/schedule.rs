@@ -5,12 +5,13 @@
 //! indices, using a constant number of processors for its whole execution.
 //! A [`Schedule`] is simply the list of per-task placements; the structural
 //! invariants (no overlap, machine capacity, consistency with the task
-//! profiles) are checked by [`Schedule::validate`] and, more thoroughly, by
-//! the `simulator` crate.
+//! profiles) are checked by the oracle in [`crate::validate`];
+//! [`Schedule::validate`] is its fail-fast view.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::instance::Instance;
 use crate::task::TaskId;
+use crate::validate::RunFacts;
 
 /// A block of processors with consecutive indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,70 +145,27 @@ impl Schedule {
         self.total_work() / (self.processors as f64 * horizon)
     }
 
-    /// Check the structural invariants of the schedule against its instance:
-    ///
-    /// 1. every task of the instance is scheduled exactly once;
-    /// 2. every placement fits the machine (`first + count ≤ m`);
-    /// 3. the recorded duration equals the task's execution time on the
-    ///    allotted processor count;
-    /// 4. no two placements overlap in time on a shared processor;
-    /// 5. start times are non-negative and finite.
+    /// Check the schedule against its instance under the offline model
+    /// (every task exactly once, inside the machine, with its profile's
+    /// duration, no two placements sharing a processor at the same time).
+    /// Fail-fast: the first violation the oracle
+    /// ([`crate::validate::RunFacts`]) finds becomes the error.
     pub fn validate(&self, instance: &Instance) -> Result<()> {
-        if self.processors != instance.processors() {
-            return Err(Error::InvalidAllotment {
-                task: 0,
-                processors: self.processors,
-            });
+        match RunFacts::offline(instance, self)
+            .violations()
+            .into_iter()
+            .next()
+        {
+            Some(violation) => Err(violation.into()),
+            None => Ok(()),
         }
-        let mut seen = vec![false; instance.task_count()];
-        for e in &self.entries {
-            if e.task >= instance.task_count() {
-                return Err(Error::UnknownTask { task: e.task });
-            }
-            if seen[e.task] {
-                return Err(Error::UnknownTask { task: e.task });
-            }
-            seen[e.task] = true;
-            if !e.processors.fits(self.processors) {
-                return Err(Error::InvalidAllotment {
-                    task: e.task,
-                    processors: e.processors.count,
-                });
-            }
-            if !(e.start.is_finite() && e.start >= -1e-12) {
-                return Err(Error::InvalidTime {
-                    processors: e.processors.count,
-                    time: e.start,
-                });
-            }
-            let expected = instance.time(e.task, e.processors.count);
-            if (expected - e.duration).abs() > 1e-6 {
-                return Err(Error::InvalidTime {
-                    processors: e.processors.count,
-                    time: e.duration,
-                });
-            }
-        }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(Error::UnknownTask { task: missing });
-        }
-        for (i, a) in self.entries.iter().enumerate() {
-            for b in self.entries.iter().skip(i + 1) {
-                if a.conflicts_with(b) {
-                    return Err(Error::InvalidAllotment {
-                        task: b.task,
-                        processors: b.processors.count,
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::task::SpeedupProfile;
 
     fn instance() -> Instance {

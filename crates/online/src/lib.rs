@@ -73,9 +73,9 @@
 //!   with the pending set: the true malleable model, where a task's
 //!   allotment may change while it runs.  Work executed at the old
 //!   allotment is conserved by construction, and the output schedule
-//!   records one segment per allotment
-//!   (`simulator::validate_piecewise_subset` checks per-segment feasibility
-//!   and per-task work conservation).
+//!   records one segment per allotment (the schedule oracle,
+//!   `malleable_core::validate`, checks per-segment feasibility and per-task
+//!   work conservation).
 //!
 //! By default all four are off and the engine reproduces the historical
 //! frontier-only behaviour exactly (planning rounds keep the offline
@@ -96,8 +96,8 @@
 //! residuals, exactly like mid-execution re-allotment), per-attempt task
 //! failures *lose* the attempt's work and retry under a capped exponential
 //! backoff ([`workload::RetryPolicy`]) until abandoned, and
-//! [`validate_fault_run`] checks the fault-specific invariants (no
-//! executed or wasted segment overlaps another or any outage).  See
+//! [`OnlineResult::run_facts`] feeds the schedule oracle the fault-specific
+//! facts (no executed or wasted segment overlaps another or any outage).  See
 //! [`engine`]'s module docs for the full recovery semantics and
 //! [`OnlineResult::goodput_fraction`] for the graceful-degradation figure.
 
@@ -110,8 +110,7 @@ pub mod telemetry;
 
 pub use engine::{
     competitive_report, queued_reallotment_scenario, run, run_recorded, run_with_faults,
-    running_reallotment_scenario, validate_against_trace, validate_fault_run,
-    validate_fault_run_classed, CompetitiveReport, OnlineResult,
+    running_reallotment_scenario, validate_against_trace, CompetitiveReport, OnlineResult,
 };
 pub use event::{Event, EventKind, EventQueue};
 pub use machine::{MachineState, Placement, ReservationError, ReservationId};

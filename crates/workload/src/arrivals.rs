@@ -21,7 +21,7 @@
 
 use crate::generator::{TaskStream, WorkloadConfig, WorkloadGenerator};
 use crate::io::task_from_value;
-use malleable_core::{Instance, MalleableTask, Result};
+use malleable_core::{Instance, MalleableTask, Result, RunFacts, Schedule, TaskFacts};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde_json::{json, Value};
@@ -260,6 +260,32 @@ impl ArrivalTrace {
             self.arrivals.iter().map(|a| a.task.clone()).collect(),
             self.processors,
         )
+    }
+
+    /// The schedule oracle's facts of an online run over this trace: task
+    /// `j` is released at its arrival, bound by its departure deadline, and
+    /// may be absent only when it carries one; tasks may run as re-allotted
+    /// segments.  Callers add wasted segments, outages, abandoned tasks or
+    /// machine classes where their run has them.
+    pub fn run_facts<'a>(&'a self, executed: &'a Schedule) -> RunFacts<'a> {
+        RunFacts {
+            processors: self.processors,
+            tasks: self
+                .arrivals
+                .iter()
+                .map(|a| TaskFacts {
+                    profile: &a.task.profile,
+                    release: a.at,
+                    departs_at: a.departs_at,
+                    may_be_absent: a.departs_at.is_some(),
+                })
+                .collect(),
+            classes: Vec::new(),
+            executed,
+            wasted: &[],
+            outages: &[],
+            piecewise: true,
+        }
     }
 }
 

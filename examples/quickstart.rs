@@ -5,7 +5,8 @@
 //! ```
 
 use malleable_core::prelude::*;
-use simulator::{render_gantt, simulate, validate_schedule};
+use malleable_core::RunFacts;
+use simulator::{render_gantt, simulate};
 
 fn main() {
     // A small machine and a mix of task shapes: a perfectly parallel solver,
@@ -50,9 +51,10 @@ fn main() {
         result.ratio()
     );
 
-    // Replay the schedule on the simulator and double-check every invariant.
-    let report = validate_schedule(&instance, &result.schedule, None);
-    assert!(report.is_valid(), "violations: {:?}", report.violations);
+    // Double-check every invariant with the schedule oracle, then replay
+    // the schedule on the simulator.
+    let report = RunFacts::offline(&instance, &result.schedule).violations();
+    assert!(report.is_empty(), "violations: {:?}", report);
     let trace = simulate(&instance, &result.schedule);
     println!(
         "utilisation           = {:.1}%   idle area = {:.3}",

@@ -6,7 +6,7 @@ use malleable_core::bounds;
 use malleable_core::canonical::CanonicalAllotment;
 use malleable_core::prelude::*;
 use malleable_core::two_shelf::{self, TwoShelfParams};
-use simulator::validate_schedule;
+use malleable_core::RunFacts;
 use workload::{WorkloadConfig, WorkloadGenerator};
 
 #[test]
@@ -56,8 +56,8 @@ fn every_algorithm_schedules_every_task_exactly_once() {
                 instance.task_count(),
                 "{name} missed or duplicated tasks"
             );
-            let report = validate_schedule(&instance, &schedule, None);
-            assert!(report.is_valid(), "{name}: {:?}", report.violations);
+            let report = RunFacts::offline(&instance, &schedule).violations();
+            assert!(report.is_empty(), "{name}: {:?}", report);
         }
     }
 }

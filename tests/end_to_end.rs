@@ -3,18 +3,19 @@
 use baselines::{gang_schedule, ludwig, sequential_lpt};
 use malleable_core::bounds;
 use malleable_core::prelude::*;
-use simulator::{simulate, validate_schedule};
+use malleable_core::RunFacts;
+use simulator::simulate;
 use workload::{WorkloadConfig, WorkloadGenerator};
 
 fn schedule_and_check(instance: &Instance) -> SearchResult {
     let result = MrtScheduler::default()
         .schedule(instance)
         .expect("MRT scheduling succeeds");
-    let report = validate_schedule(instance, &result.schedule, None);
+    let report = RunFacts::offline(instance, &result.schedule).violations();
     assert!(
-        report.is_valid(),
+        report.is_empty(),
         "simulator found violations: {:?}",
-        report.violations
+        report
     );
     let trace = simulate(instance, &result.schedule);
     assert!((trace.makespan - result.schedule.makespan()).abs() < 1e-9);
@@ -103,8 +104,8 @@ fn baselines_are_valid_on_every_family() {
                 gang_schedule(&instance),
                 sequential_lpt(&instance),
             ] {
-                let report = validate_schedule(&instance, &schedule, None);
-                assert!(report.is_valid(), "violations: {:?}", report.violations);
+                let report = RunFacts::offline(&instance, &schedule).violations();
+                assert!(report.is_empty(), "violations: {:?}", report);
                 assert!(schedule.makespan() >= bounds::lower_bound(&instance) - 1e-9);
             }
         }

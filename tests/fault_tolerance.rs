@@ -1,7 +1,7 @@
 //! Workspace-level tests of the fault-tolerant online engine: a
-//! hand-computed crash-recovery scenario cross-checked against the
-//! simulator's piecewise validator, property tests sweeping random seeded
-//! fault plans over bursty traces, and the `std::error::Error` conformance
+//! hand-computed crash-recovery scenario cross-checked against the schedule
+//! oracle, property tests sweeping random seeded fault plans over bursty
+//! traces, and the `std::error::Error` conformance
 //! of the workspace's typed errors (they must box through `?`).
 
 use std::collections::HashSet;
@@ -56,13 +56,10 @@ fn crash_recovery_scenario_is_exact() {
     assert!((entries[1].duration - 4.0).abs() < 1e-9);
     assert_eq!(entries[1].processors.count, 1);
 
-    // Nothing was lost: the two segments conserve the task's work, which
-    // the simulator's piecewise validator checks independently.
+    // Nothing was lost: the two segments conserve the task's work (checked
+    // by the oracle below).
     assert!(result.wasted.is_empty());
     assert!((result.goodput_fraction() - 1.0).abs() < 1e-12);
-    let report =
-        simulator::validate_piecewise_subset(&trace.instance().unwrap(), &result.schedule, None);
-    assert!(report.is_valid(), "{:?}", report.violations);
 
     // Capacity lost to the outage: processor 1 from t=1 to the makespan,
     // so the integral is 2×5 − 4 = 6 — exactly the busy time, hence a
@@ -71,7 +68,7 @@ fn crash_recovery_scenario_is_exact() {
     assert!((result.capacity_integral - 6.0).abs() < 1e-9);
     assert!((result.time_weighted_utilization() - 1.0).abs() < 1e-9);
     assert!((result.nominal_utilization() - 0.6).abs() < 1e-9);
-    assert!(online::validate_fault_run(&trace, &result).is_empty());
+    assert!(result.run_facts(&trace).violations().is_empty());
 }
 
 fn bursty_trace(tasks: usize, processors: usize, seed: u64) -> ArrivalTrace {
@@ -89,7 +86,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// Random seeded fault plans over bursty traces, with and without
     /// departure deadlines, under both the greedy and the epoch re-planning
-    /// policies: the fault-aware validator passes (no overlap among
+    /// policies: the schedule oracle passes (no overlap among
     /// executed or wasted segments, nothing placed inside an outage), every
     /// submitted task is accounted for, and the degradation figures stay
     /// within their ranges.
@@ -124,7 +121,7 @@ proptest! {
         let result =
             online::run_with_faults(&trace, policy.as_mut(), &plan, retry, None).unwrap();
 
-        let violations = online::validate_fault_run(&trace, &result);
+        let violations = result.run_facts(&trace).violations();
         prop_assert!(violations.is_empty(), "{violations:?}");
 
         // No lost tasks: completed + departed + abandoned partitions the

@@ -1,10 +1,10 @@
 //! Workspace-level tests of the online scheduling engine: deterministic
 //! traces with exactly known makespans per policy, and cross-checks of every
-//! policy against the offline MRT solver and the simulator's validator.
+//! policy against the offline MRT solver and the schedule oracle.
 
+use malleable_core::RunFacts;
 use malleable_core::{MalleableTask, SpeedupProfile};
 use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, PolicyKind};
-use simulator::validate_schedule;
 use workload::{Arrival, ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
 
 fn sequential(at: f64, duration: f64) -> Arrival {
@@ -166,14 +166,15 @@ fn every_policy_dominates_the_offline_run_and_validates() {
             let mut policy = kind.build().unwrap();
             let result = online::run(&trace, policy.as_mut()).unwrap();
 
-            // The simulator's strict validator accepts every committed
-            // schedule (the trace's offline instance shares task ids).
-            let report = validate_schedule(&instance, &result.schedule, None);
+            // The oracle's offline (non-preemptive) view accepts every
+            // committed schedule (the trace's offline instance shares task
+            // ids).
+            let report = RunFacts::offline(&instance, &result.schedule).violations();
             assert!(
-                report.is_valid(),
+                report.is_empty(),
                 "{family}/{}: {:?}",
                 result.policy,
-                report.violations
+                report
             );
             // … and no task starts before its arrival.
             assert!(

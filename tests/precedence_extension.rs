@@ -1,10 +1,10 @@
 //! Integration tests for the precedence-graph extension: the level-by-level
 //! reuse of the paper's √3 scheduler and the CPA heuristic must cooperate
-//! with the rest of the workspace (workload profiles, simulator validation).
+//! with the rest of the workspace (workload profiles, the schedule oracle).
 
 use malleable_core::prelude::*;
+use malleable_core::RunFacts;
 use precedence::{CpaScheduler, LevelScheduler, PrecedenceInstance, TaskGraph};
-use simulator::validate_schedule;
 use workload::SpeedupFamily;
 
 fn amdahl(work: f64, alpha: f64, m: usize) -> MalleableTask {
@@ -48,8 +48,8 @@ fn pipelines_are_scheduled_validly_by_both_extensions() {
                 // The machine-level validator (which ignores precedence) must
                 // also accept the schedule.
                 let flat = instance.independent().unwrap();
-                let report = validate_schedule(&flat, schedule, None);
-                assert!(report.is_valid(), "{:?}", report.violations);
+                let report = RunFacts::offline(&flat, schedule).violations();
+                assert!(report.is_empty(), "{:?}", report);
                 assert!(schedule.makespan() >= lb - 1e-9);
             }
         }
